@@ -18,7 +18,7 @@ import (
 // view's own horizon when e is a View), so the streamed rows form one
 // consistent epoch snapshot, lock-free against concurrent writers.
 func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
-	switch v := e.(type) {
+	switch v := pinned(e).(type) {
 	case *Engine:
 		specializeAt(v, v.Horizon(), s, env, f)
 	case *ShardedEngine:

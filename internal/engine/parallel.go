@@ -97,11 +97,34 @@ func (se *ShardedEngine) chunksAt(buf []rowChunk, workers int, s uint64) []rowCh
 	return chunks
 }
 
-// readerChunks resolves a Reader to its chunk list (built in a pooled
-// buffer the caller must return via putChunkBuf) and mode, or ok=false
-// for foreign implementations that must use the generic fallback.
+// pinnable is the part of DB that pins a view.
+type pinnable interface {
+	At(seq uint64) View
+	Horizon() uint64
+}
+
+// pinned resolves a reader that wraps an engine without being one of
+// its types (wal.Store, wal.Follower) to the view it pins at its newest
+// horizon, so the passes below run on the engine's rows rather than
+// the generic fallback. Engines, views and foreign readers are
+// returned as is.
+func pinned(e Reader) Reader {
+	switch e.(type) {
+	case *Engine, *ShardedEngine, *engineView, *shardedView:
+		return e
+	}
+	if p, ok := e.(pinnable); ok {
+		return p.At(p.Horizon())
+	}
+	return e
+}
+
+// readerChunks resolves a Reader (through pinned) to its chunk list,
+// built in a pooled buffer the caller must return via putChunkBuf, and
+// mode, or ok=false for foreign implementations that must use the
+// generic fallback.
 func readerChunks(e Reader, workers int) (chunks []rowChunk, mode Mode, ok bool) {
-	switch v := e.(type) {
+	switch v := pinned(e).(type) {
 	case *Engine:
 		return v.chunksAt(getChunkBuf(), workers, v.Horizon()), v.mode, true
 	case *ShardedEngine:
@@ -115,19 +138,50 @@ func readerChunks(e Reader, workers int) (chunks []rowChunk, mode Mode, ok bool)
 	}
 }
 
+// foldChunks is the one parallel pass every parallel provenance usage
+// runs. Each chunk is evaluated on its own goroutine, which folds every
+// visible row's value into a chunk-private accumulator, so workers
+// share no state on the hot path. Accumulators come back in chunk
+// order. ctx is checked at chunk boundaries before dispatch; on
+// cancellation the pass stops early — chunks already dispatched still
+// complete — and ctx.Err() is returned.
+func foldChunks[T, A any](ctx context.Context, chunks []rowChunk, mode Mode, s upstruct.Structure[T], env upstruct.Env[T], fold func(acc A, rel string, t db.Tuple, v T) A) ([]A, error) {
+	accs := make([]A, len(chunks))
+	var wg sync.WaitGroup
+	for i := range chunks {
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func(i int, c rowChunk) {
+			defer wg.Done()
+			var acc A
+			for _, r := range c.rows {
+				ver := r.at(c.at)
+				if ver == nil {
+					continue
+				}
+				acc = fold(acc, c.rel, r.tuple, evalVersion(mode, ver, s, env))
+			}
+			accs[i] = acc
+		}(i, chunks[i])
+	}
+	wg.Wait()
+	return accs, ctx.Err()
+}
+
 // SpecializeParallel is Specialize with row evaluation spread over
 // workers goroutines (0 = GOMAXPROCS). Expressions are immutable and
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
-// concurrent use (or accumulate per-chunk as BoolRestrictParallel
-// does). The MVCC horizon is pinned once at entry (a View's own pinned
-// horizon is used as-is), so the pass is lock-free and consistent
-// against concurrent writers. ctx is checked at chunk boundaries
-// before dispatch; on cancellation the pass stops early — chunks
-// already dispatched still complete — and ctx.Err() is returned. This
-// is a beyond-the-paper extension: provenance usage is the measurement
-// of Figures 7c/8c, and valuation is embarrassingly parallel, unlike
-// the re-execution baseline.
+// concurrent use. The MVCC horizon is pinned once at entry (a View's
+// own pinned horizon is used as-is), so the pass is lock-free and
+// consistent against concurrent writers. ctx is checked at chunk
+// boundaries before dispatch; on cancellation the pass stops early —
+// chunks already dispatched still complete — and ctx.Err() is
+// returned. This is a beyond-the-paper extension: provenance usage is
+// the measurement of Figures 7c/8c, and valuation is embarrassingly
+// parallel, unlike the re-execution baseline.
 func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structure[T], env upstruct.Env[T], workers int, f func(rel string, t db.Tuple, v T)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -151,41 +205,21 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 		return nil
 	}
 	defer putChunkBuf(chunks)
-	return specializeChunks(ctx, chunks, mode, s, env, f)
+	_, err := foldChunks(ctx, chunks, mode, s, env, func(_ struct{}, rel string, t db.Tuple, v T) struct{} {
+		f(rel, t, v)
+		return struct{}{}
+	})
+	return err
 }
 
-func specializeChunks[T any](ctx context.Context, chunks []rowChunk, mode Mode, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) error {
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(c rowChunk) {
-			defer wg.Done()
-			for _, r := range c.rows {
-				ver := r.at(c.at)
-				if ver == nil {
-					continue
-				}
-				f(c.rel, r.tuple, evalVersion(mode, ver, s, env))
-			}
-		}(chunks[i])
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// BoolRestrictParallel materializes the database selected by a Boolean
-// valuation using parallel evaluation. Workers accumulate hits into
-// private buffers (no shared state on the hot path) that are merged in
-// chunk order at the end, so the result's insertion order matches the
-// sequential BoolRestrict on either engine (or view). env must be safe
-// for concurrent use (pure functions and MapEnv lookups are). The
-// horizon is pinned once at entry; the pass is lock-free. ctx is
-// checked at chunk boundaries; on cancellation, (nil, ctx.Err()) is
-// returned.
-func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
+// restrictChunks is the Boolean-valuation pass under both
+// BoolRestrictParallel and BoolRestrictAppend: hit folds every row
+// whose provenance evaluates to true into its chunk's accumulator.
+// Chunks come back with their relation names, relations in schema
+// order and chunks in row order within a relation; a relation with no
+// visible rows has no chunk. The horizon is pinned once at entry; the
+// pass is lock-free. On cancellation, ctx.Err() is returned.
+func restrictChunks[A any](ctx context.Context, e Reader, env upstruct.Env[bool], workers int, hit func(acc A, t db.Tuple) A) (rels []string, accs []A, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -195,42 +229,90 @@ func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool],
 	chunks, mode, ok := readerChunks(e, workers)
 	if !ok {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return BoolRestrict(e, env), nil
+		// Foreign readers stream sequentially, one chunk per relation
+		// with hits.
+		Specialize(e, upstruct.Bool, env, func(rel string, t db.Tuple, v bool) {
+			if !v {
+				return
+			}
+			if n := len(rels); n == 0 || rels[n-1] != rel {
+				rels = append(rels, rel)
+				accs = append(accs, *new(A))
+			}
+			accs[len(accs)-1] = hit(accs[len(accs)-1], t)
+		})
+		return rels, accs, nil
 	}
 	defer putChunkBuf(chunks)
-	hits := make([][]db.Tuple, len(chunks))
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if ctx.Err() != nil {
-			break
+	accs, err = foldChunks(ctx, chunks, mode, upstruct.Bool, env, func(acc A, _ string, t db.Tuple, v bool) A {
+		if v {
+			acc = hit(acc, t)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := chunks[i]
-			local := make([]db.Tuple, 0, len(c.rows))
-			for _, r := range c.rows {
-				ver := r.at(c.at)
-				if ver == nil {
-					continue
-				}
-				if evalVersion(mode, ver, upstruct.Bool, env) {
-					local = append(local, r.tuple)
-				}
-			}
-			hits[i] = local
-		}(i)
+		return acc
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	rels = make([]string, len(chunks))
+	for i, c := range chunks {
+		rels[i] = c.rel
+	}
+	return rels, accs, nil
+}
+
+// RestrictChunk is one chunk of a streamed Boolean restriction: the
+// hits among one contiguous run of relation Rel's rows, as rendered by
+// the caller's append function into Buf.
+type RestrictChunk struct {
+	Rel  string
+	Hits int
+	Buf  []byte
+}
+
+// BoolRestrictAppend answers the database selected by a Boolean
+// valuation without materializing it: every worker renders its chunk's
+// hits with appendHit, in row order, straight into the chunk's own
+// byte buffer. Chunks come back in BoolRestrictParallel's order —
+// relations in schema order, chunks in row order within a relation —
+// so concatenating them per relation reproduces the sequential stream;
+// a relation with no visible rows has no chunk. appendHit runs on
+// several goroutines at once and must be safe for concurrent use. The
+// horizon is pinned once at entry and the pass is lock-free; on
+// cancellation, (nil, ctx.Err()) is returned.
+func BoolRestrictAppend(ctx context.Context, e Reader, env upstruct.Env[bool], workers int, appendHit func(dst []byte, t db.Tuple) []byte) ([]RestrictChunk, error) {
+	rels, out, err := restrictChunks(ctx, e, env, workers, func(c RestrictChunk, t db.Tuple) RestrictChunk {
+		c.Buf = appendHit(c.Buf, t)
+		c.Hits++
+		return c
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].Rel = rels[i]
+	}
+	return out, nil
+}
+
+// BoolRestrictParallel materializes the database selected by a Boolean
+// valuation using parallel evaluation: a collector over the chunked
+// pass of BoolRestrictAppend, so the result's insertion order matches
+// the sequential BoolRestrict on either engine (or view). env must be
+// safe for concurrent use (pure functions and MapEnv lookups are). On
+// cancellation, (nil, ctx.Err()) is returned.
+func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
+	rels, hits, err := restrictChunks(ctx, e, env, workers, func(acc []db.Tuple, t db.Tuple) []db.Tuple {
+		return append(acc, t)
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := db.NewDatabase(e.Schema())
-	for i, c := range chunks {
+	for i, rel := range rels {
 		for _, t := range hits[i] {
-			_ = out.InsertTuple(c.rel, t)
+			_ = out.InsertTuple(rel, t)
 		}
 	}
 	return out, nil

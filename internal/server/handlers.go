@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"hyperprov/internal/admission"
@@ -334,23 +337,89 @@ func annotNames(as []core.Annot) []string {
 	return out
 }
 
-// restrictParallel runs the Boolean-valuation materialization shared by
-// the db and what-if endpoints — against the live engine or an ?as_of=
-// view, resolved by the caller — translating the workers parameter and
-// request-context cancellation into envelope errors. ok=false means the
-// error response has been written.
-func (s *Server) restrictParallel(w http.ResponseWriter, req *http.Request, e engine.Reader, env upstruct.Env[bool]) (*db.Database, bool) {
+// writeRestriction answers the database selected by a Boolean
+// valuation — the body shared by the db and what-if endpoints, against
+// the live engine or an ?as_of= view resolved by the caller. One
+// chunked parallel pass renders every hit's JSON straight into its
+// chunk's buffer (engine.BoolRestrictAppend); the buffers are then
+// written in encoding/json's layout of
+// {"relations":{name:{"attrs":[…],"tuples":[…]}},"numTuples":n}:
+// relations in sorted-name order, chunks in row order, a relation
+// without hits as "tuples":[], and the encoder's trailing newline. The
+// bytes equal encoding/json's rendering of the materialized database,
+// with no db.Database built and no reflection. The workers parameter
+// and request-context cancellation become envelope errors; nothing is
+// written before the pass has finished.
+func (s *Server) writeRestriction(w http.ResponseWriter, req *http.Request, e engine.Reader, env upstruct.Env[bool]) {
 	workers, err := workersParam(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return nil, false
+		return
 	}
-	d, err := engine.BoolRestrictParallel(req.Context(), e, env, workers)
+	var unencodable atomic.Bool
+	chunks, err := engine.BoolRestrictAppend(req.Context(), e, env, workers, func(dst []byte, t db.Tuple) []byte {
+		// Every hit carries its leading separator; the first hit of a
+		// relation drops it below.
+		dst, ok := appendJSONTuple(append(dst, ','), t)
+		if !ok {
+			unencodable.Store(true)
+		}
+		return dst
+	})
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, codeCanceled, "%v", err)
-		return nil, false
+		return
 	}
-	return d, true
+	if unencodable.Load() {
+		writeError(w, http.StatusInternalServerError, codeInternal, "answer holds a NaN or infinite float, which JSON cannot represent")
+		return
+	}
+	byRel := make(map[string][]engine.RestrictChunk, len(chunks))
+	numTuples := 0
+	for _, c := range chunks {
+		byRel[c.Rel] = append(byRel[c.Rel], c)
+		numTuples += c.Hits
+	}
+	schema := e.Schema()
+	names := slices.Clone(schema.Names())
+	slices.Sort(names)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Framing accumulates in b and is flushed before each chunk buffer,
+	// which is written as is.
+	b := []byte(`{"relations":{`)
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, name)
+		b = append(b, `:{"attrs":[`...)
+		for k, a := range schema.Relation(name).Attrs {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, a.Name)
+		}
+		b = append(b, `],"tuples":[`...)
+		first := true
+		for _, c := range byRel[name] {
+			if c.Hits == 0 {
+				continue
+			}
+			buf := c.Buf
+			if first {
+				buf, first = buf[1:], false
+			}
+			_, _ = w.Write(b)
+			_, _ = w.Write(buf)
+			b = b[:0]
+		}
+		b = append(b, "]}"...)
+	}
+	b = append(b, `},"numTuples":`...)
+	b = strconv.AppendInt(b, int64(numTuples), 10)
+	b = append(b, "}\n"...)
+	_, _ = w.Write(b)
 }
 
 // handleDB serves the live database — the all-true valuation — with
@@ -360,11 +429,7 @@ func (s *Server) handleDB(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	d, ok := s.restrictParallel(w, req, e, func(core.Annot) bool { return true })
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, dbJSON(d))
+	s.writeRestriction(w, req, e, func(core.Annot) bool { return true })
 }
 
 type deletionRequest struct {
@@ -393,11 +458,7 @@ func (s *Server) handleDeletion(w http.ResponseWriter, req *http.Request) {
 	for _, name := range dr.Tuples {
 		dead[core.TupleAnnot(name)] = false
 	}
-	d, ok := s.restrictParallel(w, req, e, upstruct.MapEnv(dead, true))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, dbJSON(d))
+	s.writeRestriction(w, req, e, upstruct.MapEnv(dead, true))
 }
 
 type abortRequest struct {
@@ -425,11 +486,7 @@ func (s *Server) handleAbort(w http.ResponseWriter, req *http.Request) {
 	for _, l := range ar.Labels {
 		dead[core.QueryAnnot(l)] = false
 	}
-	d, ok := s.restrictParallel(w, req, e, upstruct.MapEnv(dead, true))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, dbJSON(d))
+	s.writeRestriction(w, req, e, upstruct.MapEnv(dead, true))
 }
 
 // handleIngest parses the request body as a transaction log (SQL

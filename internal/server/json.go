@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
+	"unicode/utf8"
 
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
@@ -113,28 +116,6 @@ func writeEngineErrorApplied(w http.ResponseWriter, err error, applied int) {
 	}})
 }
 
-// valueJSON renders a db.Value as its natural JSON type.
-func valueJSON(v db.Value) any {
-	switch v.Kind() {
-	case db.KindString:
-		return v.Str()
-	case db.KindInt:
-		return v.Int()
-	case db.KindFloat:
-		return v.Float()
-	default:
-		return v.String()
-	}
-}
-
-func tupleJSON(t db.Tuple) []any {
-	out := make([]any, len(t))
-	for i, v := range t {
-		out[i] = valueJSON(v)
-	}
-	return out
-}
-
 // parseTuple converts a JSON value array into a typed tuple conforming
 // to the relation schema: strings for string attributes, numbers for
 // int (must be integral) and float attributes. Numeric strings are also
@@ -189,34 +170,76 @@ func parseTuple(rel *db.RelationSchema, raw []any) (db.Tuple, error) {
 	return t, nil
 }
 
-// relationJSON is one relation of a rendered database.
-type relationJSON struct {
-	Attrs  []string `json:"attrs"`
-	Tuples [][]any  `json:"tuples"`
-}
-
-type databaseJSON struct {
-	Relations map[string]relationJSON `json:"relations"`
-	NumTuples int                     `json:"numTuples"`
-}
-
-// dbJSON renders a materialized database. Tuple order within a relation
-// is the engine's deterministic streaming order.
-func dbJSON(d *db.Database) databaseJSON {
-	out := databaseJSON{Relations: make(map[string]relationJSON), NumTuples: d.NumTuples()}
-	for _, name := range d.Schema().Names() {
-		rel := d.Schema().Relation(name)
-		attrs := make([]string, len(rel.Attrs))
-		for i, a := range rel.Attrs {
-			attrs[i] = a.Name
-		}
-		rj := relationJSON{Attrs: attrs, Tuples: [][]any{}}
-		d.Instance(name).Each(func(t db.Tuple) {
-			rj.Tuples = append(rj.Tuples, tupleJSON(t))
-		})
-		out.Relations[name] = rj
+// appendJSONValue appends v in its natural JSON type exactly as
+// writeJSON's encoder renders it: strings as JSON strings, ints as
+// decimal integers, floats by encoding/json's rule. ok is false for a
+// NaN or infinite float, which JSON cannot represent.
+func appendJSONValue(dst []byte, v db.Value) (out []byte, ok bool) {
+	switch v.Kind() {
+	case db.KindInt:
+		return strconv.AppendInt(dst, v.Int(), 10), true
+	case db.KindFloat:
+		return appendJSONFloat(dst, v.Float())
+	default:
+		return appendJSONString(dst, v.Str()), true
 	}
-	return out
+}
+
+// appendJSONTuple appends t as a JSON array of its values; ok is false
+// when a value has no JSON rendering (see appendJSONValue).
+func appendJSONTuple(dst []byte, t db.Tuple) (out []byte, ok bool) {
+	ok = true
+	dst = append(dst, '[')
+	for i, v := range t {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var vok bool
+		dst, vok = appendJSONValue(dst, v)
+		ok = ok && vok
+	}
+	return append(dst, ']'), ok
+}
+
+// appendJSONFloat appends f the way encoding/json encodes a float64:
+// the shortest 'f' form, switching to 'e' below 1e-6 and at or above
+// 1e21 with a one-digit negative exponent (e-7, not e-07).
+func appendJSONFloat(dst []byte, f float64) (out []byte, ok bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, true
+}
+
+// appendJSONString appends s as a JSON string exactly as writeJSON's
+// encoder (SetEscapeHTML(false)) renders it. Printable ASCII without
+// quotes or backslashes — nearly every value — is copied verbatim;
+// anything else goes through the encoder, which owns the escaping of
+// control bytes, invalid UTF-8 and U+2028/U+2029.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' {
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(false)
+			_ = enc.Encode(s) // a string always encodes
+			return append(dst, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // readBody decodes a JSON request body into dst with the server's size

@@ -151,7 +151,7 @@ func TestServeWhileIngesting(t *testing.T) {
 	}
 	got := decode[any](t, resp)
 	direct := engine.DeletionPropagation(ref, core.TupleAnnot(deadName))
-	if want := normalize(t, dbJSON(direct)); !reflect.DeepEqual(got, want) {
+	if want := normalize(t, legacyDBJSON(direct)); !reflect.DeepEqual(got, want) {
 		t.Fatal("served deletion propagation differs from engine.DeletionPropagation on the serial reference")
 	}
 }

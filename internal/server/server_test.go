@@ -81,7 +81,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 }
 
 // normalize re-marshals any JSON-able value so that a decoded response
-// (float64 numbers) compares equal to a freshly rendered databaseJSON
+// (float64 numbers) compares equal to a freshly rendered legacyDatabase
 // (typed numbers).
 func normalize(t *testing.T, v any) any {
 	t.Helper()
@@ -171,21 +171,21 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := decode[any](t, resp)
-	if wantDB := normalize(t, dbJSON(engine.LiveDB(e))); !reflect.DeepEqual(got, wantDB) {
+	if wantDB := normalize(t, legacyDBJSON(engine.LiveDB(e))); !reflect.DeepEqual(got, wantDB) {
 		t.Fatalf("served live DB differs from engine.LiveDB:\n got %v\nwant %v", got, wantDB)
 	}
 
 	// Deletion propagation equals the direct engine call.
 	resp = postJSON(t, client, ts.URL+"/v1/whatif/deletion", deletionRequest{Tuples: []string{"p3"}})
 	got = decode[any](t, resp)
-	if wantDB := normalize(t, dbJSON(engine.DeletionPropagation(e, core.TupleAnnot("p3")))); !reflect.DeepEqual(got, wantDB) {
+	if wantDB := normalize(t, legacyDBJSON(engine.DeletionPropagation(e, core.TupleAnnot("p3")))); !reflect.DeepEqual(got, wantDB) {
 		t.Fatalf("served deletion propagation differs from engine.DeletionPropagation:\n got %v\nwant %v", got, wantDB)
 	}
 
 	// Abort what-if equals the direct engine call.
 	resp = postJSON(t, client, ts.URL+"/v1/whatif/abort", abortRequest{Labels: []string{"p"}})
 	got = decode[any](t, resp)
-	if wantDB := normalize(t, dbJSON(engine.AbortTransactions(e, "p"))); !reflect.DeepEqual(got, wantDB) {
+	if wantDB := normalize(t, legacyDBJSON(engine.AbortTransactions(e, "p"))); !reflect.DeepEqual(got, wantDB) {
 		t.Fatal("served abort what-if differs from engine.AbortTransactions")
 	}
 
@@ -215,7 +215,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = decode[any](t, resp)
-	if wantDB := normalize(t, dbJSON(engine.LiveDB(e))); !reflect.DeepEqual(got, wantDB) {
+	if wantDB := normalize(t, legacyDBJSON(engine.LiveDB(e))); !reflect.DeepEqual(got, wantDB) {
 		t.Fatal("live DB after snapshot round trip differs")
 	}
 

@@ -373,10 +373,10 @@ func TestSubscribeErrors(t *testing.T) {
 	c := m.Attach(0)
 
 	bad := []subscribe.Spec{
-		{Kind: subscribe.KindDeletion},                                   // no tuples
-		{Kind: subscribe.KindAbort},                                      // no labels
-		{Kind: subscribe.KindWatch, Rel: "nope"},                         // unknown relation
-		{Kind: subscribe.KindWatch, Rel: "R", Match: []any{nil}},         // arity
+		{Kind: subscribe.KindDeletion},                                                // no tuples
+		{Kind: subscribe.KindAbort},                                                   // no labels
+		{Kind: subscribe.KindWatch, Rel: "nope"},                                      // unknown relation
+		{Kind: subscribe.KindWatch, Rel: "R", Match: []any{nil}},                      // arity
 		{Kind: subscribe.KindWatch, Rel: "R", Match: []any{true, nil, nil, nil, nil}}, // type
 		{Kind: "nonsense"},
 	}

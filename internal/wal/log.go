@@ -164,6 +164,9 @@ type logWriter struct {
 	start uint64        // LSN of the current segment's first record
 	count uint64        // records appended to the current segment
 	bytes int64         // bytes appended to the current segment
+	// unsynced reports records appended since the last successful sync,
+	// so an interval sync with nothing to make durable can be skipped.
+	unsynced bool
 }
 
 // openLogWriter positions the writer to append records starting at
@@ -211,6 +214,7 @@ func (lw *logWriter) append(payload []byte) error {
 	}
 	lw.count++
 	lw.bytes += int64(len(frame))
+	lw.unsynced = true
 	return nil
 }
 
@@ -248,7 +252,11 @@ func (lw *logWriter) sync() error {
 	if err := lw.w.Flush(); err != nil {
 		return err
 	}
-	return lw.f.Sync()
+	if err := lw.f.Sync(); err != nil {
+		return err
+	}
+	lw.unsynced = false
+	return nil
 }
 
 // close syncs and closes the current segment.

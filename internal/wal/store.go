@@ -945,7 +945,9 @@ func (s *Store) maybeCheckpointLocked() {
 
 // --- lifecycle ----------------------------------------------------------
 
-// syncLoop is the SyncInterval timer.
+// syncLoop is the SyncInterval timer: on every tick it fsyncs what was
+// appended since the last sync, so appended data is durable within one
+// interval. A tick with nothing appended does nothing.
 func (s *Store) syncLoop() {
 	defer s.syncWG.Done()
 	t := time.NewTicker(s.opts.interval)
@@ -956,7 +958,7 @@ func (s *Store) syncLoop() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if !s.closed && !s.readOnly.Load() {
+			if !s.closed && !s.readOnly.Load() && s.lw.unsynced {
 				if err := s.lw.sync(); err != nil {
 					_ = s.degradeLocked(err)
 				} else {
